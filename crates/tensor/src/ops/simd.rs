@@ -8,7 +8,9 @@
 //! classic AVX2 shape that fits the 16-register file with room for the
 //! B loads and the A broadcast), fed by **packed panels**:
 //!
-//! * B is repacked per `KC×NC` block into NR-wide column panels so the
+//! * B is repacked per `KC×NC` block into NR-wide column panels (a
+//!   narrow block packs several consecutive KC blocks at once, up to
+//!   the same `KC·NC` buffer — see [`gemm`]) so the
 //!   microkernel reads one contiguous, reusable stream regardless of
 //!   whether the logical B is row-major (`matmul`), transposed (`linear`
 //!   weights) or an *implicit im2col patch matrix* gathered straight
@@ -19,9 +21,12 @@
 //!
 //! `KC`/`NC` default to 256/512 and can be swept via `FX_GEMM_KC` /
 //! `FX_GEMM_NC` (read once per process, validated and rounded to the
-//! panel quantum — see [`gemm_kc`]/[`gemm_nc`]). Blocking only re-tiles
-//! the same sequential per-element reduction, so the knobs cannot
-//! change a single output bit.
+//! panel quantum — see [`gemm_kc`]/[`gemm_nc`]). `NC` only re-tiles the
+//! columns, so it never changes an output bit. `KC` does change f32
+//! bits: each KC block is its own FMA chain, and the blocks' partial
+//! sums are then added in k order, so a different `KC` rounds
+//! differently. Every f32 parity guarantee below holds at a fixed `KC`;
+//! int8 accumulation is exact, so neither knob changes int8 bytes.
 //!
 //! Pack buffers are drawn from [`pool`](crate::pool) (and fully
 //! overwritten, including zero edge padding, so recycled-buffer stale
@@ -57,8 +62,9 @@
 //!
 //! ## Numerics and determinism (f32)
 //!
-//! Each output element is accumulated **sequentially over k** (one
-//! fused-multiply-add per k step, panels summed in k order), so a value
+//! Each output element is accumulated **sequentially over k** within a
+//! KC block (one fused-multiply-add per k step), and the KC blocks'
+//! partial sums are added in k order, so at a fixed `KC` a value
 //! depends only on its own row of A and column of B — never on tile
 //! position, batch size, or thread count. That is the property the
 //! serve-layer parity suite relies on: a row answered inside a batch of
@@ -518,9 +524,9 @@ unsafe impl Sync for SendPtr {}
 /// after the accumulation finishes — elementwise identical to running
 /// the separate kernels afterwards.
 ///
-/// Row panels are distributed over the kernel thread pool; the packed B
-/// block is shared read-only, so results are independent of the thread
-/// count.
+/// B is packed one k-span at a time (see the loop below); row panels
+/// are distributed over the kernel thread pool and share the packed
+/// span read-only, so results are independent of the thread count.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm(
     m: usize,
@@ -552,49 +558,93 @@ pub(crate) fn gemm(
 
     let (kc_blk, nc_blk) = (gemm_kc(), gemm_nc());
     let mut pb = pool::alloc_f32(kc_blk * nc_blk);
+    let c_len = c.len();
     let c_base = SendPtr(c.as_mut_ptr());
+    let n_rpanels = m.div_ceil(MR);
     for jc in (0..n).step_by(nc_blk) {
         let nc_eff = nc_blk.min(n - jc);
         let n_jpanels = nc_eff.div_ceil(NR);
-        for (pi, k0) in (0..k).step_by(kc_blk).enumerate() {
-            let kc_eff = kc_blk.min(k - k0);
-            pack_b(&b, n, k, k0, kc_eff, jc, nc_eff, &mut pb);
-            let first = pi == 0;
+        // One dispatch per k-span: as many whole KC blocks as fit the
+        // `KC·NC` pack buffer at this block's width. A narrow block
+        // (small N) packs all of k at once and each worker streams its
+        // rows of A start to finish; a full-width block spans one KC
+        // block. Each KC block is still its own microkernel call in k
+        // order, so every element sees the same chain either way.
+        let span = (kc_blk * nc_blk / (n_jpanels * NR) / kc_blk * kc_blk).max(kc_blk);
+        for s0 in (0..k).step_by(span) {
+            let s_end = k.min(s0 + span);
+            // KC block `k0` of the span is packed at offset
+            // `(k0 - s0)·n_jpanels·NR` (every block but the last is
+            // full, so the blocks abut).
+            for k0 in (s0..s_end).step_by(kc_blk) {
+                let kc_eff = kc_blk.min(k - k0);
+                let off = (k0 - s0) * n_jpanels * NR;
+                let dst = &mut pb[off..off + n_jpanels * kc_eff * NR];
+                pack_b(&b, n, k, k0, kc_eff, jc, nc_eff, dst);
+            }
             let pb_ref: &[f32] = &pb;
-            let n_rpanels = m.div_ceil(MR);
             parallel_chunks(n_rpanels, |range| {
                 let c_base = c_base;
                 let mut pa = [0.0f32; MR * KC_MAX];
                 for rp in range {
                     let i0 = rp * MR;
                     let mr_eff = MR.min(m - i0);
+                    debug_assert!(
+                        (i0 + mr_eff) * n <= c_len,
+                        "gemm: C row panel out of bounds"
+                    );
                     // Packing A pays for itself only if the panel is
                     // reused across ≥2 column panels; a narrow-N block
                     // reads row-major A in place instead (identical
                     // broadcast values — see the microkernel docs).
                     // Partial row panels always pack (zero padding).
                     let direct_a = n_jpanels == 1 && mr_eff == MR;
-                    let (ap, ska, sra) = if direct_a {
-                        (unsafe { a.as_ptr().add(i0 * k + k0) }, 1, k)
-                    } else {
-                        pack_a(a, k, i0, mr_eff, k0, kc_eff, &mut pa);
-                        (pa.as_ptr(), MR, 1)
-                    };
-                    for jp in 0..n_jpanels {
-                        let j = jc + jp * NR;
-                        let nr_eff = NR.min(n - j);
-                        // SAFETY: AVX2+FMA asserted above; row panels
-                        // are disjoint across `rp`, so each microkernel
-                        // writes an exclusive window of C. The narrow
-                        // variant computes identical per-element FMA
-                        // chains, just one vector wide.
-                        unsafe {
-                            let pbp = pb_ref.as_ptr().add(jp * kc_eff * NR);
-                            let cp = c_base.0.add(i0 * n + j);
-                            if nr_eff <= 8 {
-                                mk_6x8(kc_eff, ap, ska, sra, pbp, cp, n, mr_eff, nr_eff, first);
-                            } else {
-                                mk_6x16(kc_eff, ap, ska, sra, pbp, cp, n, mr_eff, nr_eff, first);
+                    for k0 in (s0..s_end).step_by(kc_blk) {
+                        let kc_eff = kc_blk.min(k - k0);
+                        let first = k0 == 0;
+                        let off = (k0 - s0) * n_jpanels * NR;
+                        debug_assert!(
+                            off + n_jpanels * kc_eff * NR <= pb_ref.len(),
+                            "gemm: B span out of bounds"
+                        );
+                        let (ap, ska, sra) = if direct_a {
+                            debug_assert!(
+                                i0 * k + k0 + (MR - 1) * k + kc_eff <= a.len(),
+                                "gemm: direct A window out of bounds"
+                            );
+                            // SAFETY: `a.len() == m·k` (asserted on entry)
+                            // and this row panel is full (`i0 + MR ≤ m`),
+                            // so the offset is inside `a`; the debug check
+                            // above covers the whole window the
+                            // microkernel reads from it.
+                            (unsafe { a.as_ptr().add(i0 * k + k0) }, 1, k)
+                        } else {
+                            pack_a(a, k, i0, mr_eff, k0, kc_eff, &mut pa);
+                            (pa.as_ptr(), MR, 1)
+                        };
+                        for jp in 0..n_jpanels {
+                            let j = jc + jp * NR;
+                            let nr_eff = NR.min(n - j);
+                            // SAFETY: AVX2+FMA asserted above. The A
+                            // window is `a` rows i0..i0+MR at k0..k0+kc_eff
+                            // (direct) or the packed `pa` of MR·kc_eff
+                            // values; the B panel `jp` holds kc_eff·NR
+                            // values inside the packed span (asserted
+                            // above); the C tile is rows i0..i0+mr_eff,
+                            // columns j..j+nr_eff of the m×n output, and
+                            // row panels are disjoint across `rp`, so
+                            // each microkernel writes an exclusive window.
+                            // The narrow variant computes identical
+                            // per-element FMA chains, just one vector wide.
+                            unsafe {
+                                let pbp = pb_ref.as_ptr().add(off + jp * kc_eff * NR);
+                                let cp = c_base.0.add(i0 * n + j);
+                                let (mr, nr) = (mr_eff, nr_eff);
+                                if nr <= 8 {
+                                    mk_6x8(kc_eff, ap, ska, sra, pbp, cp, n, mr, nr, first);
+                                } else {
+                                    mk_6x16(kc_eff, ap, ska, sra, pbp, cp, n, mr, nr, first);
+                                }
                             }
                         }
                     }
@@ -1643,35 +1693,110 @@ mod tests {
 
     /// Column count must not change the bits of existing columns: the
     /// guarantee dynamic batching relies on (a conv's patch axis grows
-    /// with the batch).
+    /// with the batch). k spans several KC blocks, so a narrow output
+    /// (one k-span per dispatch, A read in place) is checked against a
+    /// wide one (one KC block per dispatch, A packed), for every B
+    /// source, at 1 and 2 kernel threads; m = 11 leaves a partial last
+    /// row panel.
     #[test]
     fn wider_output_preserves_existing_columns_bitwise() {
         if !simd_available() {
             eprintln!("skipping: no AVX2+FMA on this host");
             return;
         }
-        let (m, k) = (11, 70);
-        let (n_small, n_big) = (5usize, 600usize);
-        let mut rng = StdRng::seed_from_u64(13);
-        let a = rand_vec(m * k, &mut rng);
-        let b_big = rand_vec(k * n_big, &mut rng);
-        let mut b_small = vec![0.0f32; k * n_small];
-        for kk in 0..k {
-            b_small[kk * n_small..(kk + 1) * n_small]
-                .copy_from_slice(&b_big[kk * n_big..kk * n_big + n_small]);
+        #[derive(Clone, Copy, Debug)]
+        enum Src {
+            RowMajor,
+            Transposed,
+            /// Square kernel of this size, padded to keep 2×2 images 2×2.
+            Patches(usize),
         }
-        let mut c_small = vec![0.0f32; m * n_small];
-        gemm(m, k, n_small, &a, BSrc::RowMajor(&b_small), &mut c_small, None, None, false);
-        let mut c_big = vec![0.0f32; m * n_big];
-        gemm(m, k, n_big, &a, BSrc::RowMajor(&b_big), &mut c_big, None, None, false);
-        for i in 0..m {
-            for j in 0..n_small {
-                assert_eq!(
-                    c_small[i * n_small + j].to_bits(),
-                    c_big[i * n_big + j].to_bits(),
-                    "element ({i},{j}) changed bits when the output widened"
+        let m = 11;
+        let n_big = 600usize;
+        let k_target = 3 * gemm_kc() + 37;
+        let mut rng = StdRng::seed_from_u64(13);
+        for src in [
+            Src::RowMajor,
+            Src::Transposed,
+            Src::Patches(1),
+            Src::Patches(3),
+        ] {
+            // A 3×3 patch has 9 offsets per channel, so its k is the
+            // next multiple of 9.
+            let khw = match src {
+                Src::Patches(kh) => kh * kh,
+                _ => 1,
+            };
+            let ch = k_target.div_ceil(khw);
+            let k = ch * khw;
+            let a = rand_vec(m * k, &mut rng);
+            // Column j of B is `bt[j*k..(j+1)*k]`; patch columns come from
+            // 2×2 images instead, 4 per image.
+            let bt = rand_vec(n_big * k, &mut rng);
+            let x = rand_vec(n_big / 4 * ch * 4, &mut rng);
+            let run = |n: usize| {
+                let mut c = vec![f32::NAN; m * n];
+                match src {
+                    Src::RowMajor => {
+                        let mut b = vec![0.0f32; k * n];
+                        for j in 0..n {
+                            for kk in 0..k {
+                                b[kk * n + j] = bt[j * k + kk];
+                            }
+                        }
+                        gemm(m, k, n, &a, BSrc::RowMajor(&b), &mut c, None, None, false);
+                    }
+                    Src::Transposed => {
+                        let b = BSrc::Transposed(&bt[..n * k]);
+                        gemm(m, k, n, &a, b, &mut c, None, None, false);
+                    }
+                    Src::Patches(kh) => {
+                        let p = PatchSrc {
+                            x: &x[..n.div_ceil(4) * ch * 4],
+                            c: ch,
+                            h: 2,
+                            w: 2,
+                            ch0: 0,
+                            kh,
+                            kw: kh,
+                            stride: (1, 1),
+                            padding: (kh / 2, kh / 2),
+                            dilation: (1, 1),
+                            oh: 2,
+                            ow: 2,
+                        };
+                        gemm(m, k, n, &a, BSrc::Patches(&p), &mut c, None, None, false);
+                    }
+                }
+                c
+            };
+            let prev = crate::threading::num_threads();
+            let mut reference: Option<Vec<f32>> = None;
+            for threads in [1, 2] {
+                crate::threading::set_num_threads(threads);
+                let c_big = run(n_big);
+                let want = reference.get_or_insert_with(|| c_big.clone());
+                assert!(
+                    want.iter()
+                        .zip(&c_big)
+                        .all(|(w, g)| w.to_bits() == g.to_bits()),
+                    "{src:?}: {threads} threads changed bits of the wide output"
                 );
+                for n_small in [1usize, 4, 8, 9, 16] {
+                    let c_small = run(n_small);
+                    for i in 0..m {
+                        for j in 0..n_small {
+                            assert_eq!(
+                                c_small[i * n_small + j].to_bits(),
+                                want[i * n_big + j].to_bits(),
+                                "{src:?} k={k} threads={threads} n={n_small}: element \
+                                 ({i},{j}) changed bits when the output widened"
+                            );
+                        }
+                    }
+                }
             }
+            crate::threading::set_num_threads(prev);
         }
     }
 

@@ -27,15 +27,22 @@ pub fn set_num_threads(n: usize) {
     NUM_THREADS.store(n, Ordering::Relaxed);
 }
 
-/// The number of worker threads parallel kernels will use.
-pub fn num_threads() -> usize {
-    let n = NUM_THREADS.load(Ordering::Relaxed);
-    if n == 0 {
+/// The host's available parallelism, queried once per process (the
+/// query costs a system call, and kernels ask on every parallel call).
+fn hw_threads() -> usize {
+    static N: OnceLock<usize> = OnceLock::new();
+    *N.get_or_init(|| {
         std::thread::available_parallelism()
             .map(|p| p.get())
             .unwrap_or(1)
-    } else {
-        n
+    })
+}
+
+/// The number of worker threads parallel kernels will use.
+pub fn num_threads() -> usize {
+    match NUM_THREADS.load(Ordering::Relaxed) {
+        0 => hw_threads(),
+        n => n,
     }
 }
 
@@ -101,10 +108,7 @@ struct Pool {
 fn pool() -> &'static Pool {
     static POOL: OnceLock<Pool> = OnceLock::new();
     POOL.get_or_init(|| {
-        let workers = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-            .saturating_sub(1);
+        let workers = pool_workers();
         let pool = Pool {
             queue: Mutex::new(VecDeque::new()),
             wake: Condvar::new(),
@@ -139,10 +143,7 @@ fn worker_loop() {
 /// Number of persistent pool workers (excluding the submitting thread).
 /// Does not start the pool.
 pub fn pool_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-        .saturating_sub(1)
+    hw_threads().saturating_sub(1)
 }
 
 /// Run `body(0) .. body(total-1)` with up to `helpers` pool workers
@@ -395,5 +396,14 @@ mod tests {
         set_num_threads(0);
         assert!(num_threads() >= 1);
         set_num_threads(prev);
+    }
+
+    #[test]
+    fn zero_threads_resolves_to_pool_plus_caller() {
+        let prev = NUM_THREADS.load(Ordering::Relaxed);
+        set_num_threads(0);
+        let resolved = num_threads();
+        set_num_threads(prev);
+        assert_eq!(resolved, pool_workers() + 1);
     }
 }

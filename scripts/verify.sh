@@ -10,6 +10,12 @@
 #    validation forced on even in release builds (FX_VALIDATE=1), once
 #    per GEMM engine (FX_SIMD=1 AVX2 microkernels, FX_SIMD=0 portable
 #    scalar), as is the fx-tensor kernel suite.
+# 3a. GEMM blocking sweep      — the fx-tensor suite and the executor,
+#    serve and quant parity suites under a tiny FX_GEMM_KC=64
+#    FX_GEMM_NC=32, so the suites' small shapes take the multi-span,
+#    multi-KC-block and multi-column-panel paths of the f32 and int8
+#    GEMM drivers. Parity holds at any fixed KC (KC changes f32 bits
+#    only against a different KC, never within a process).
 # 3b. memory-planner parity    — the executor parity suite under both
 #    FX_MEMPLAN=0 and FX_MEMPLAN=1, proving the buffer-pool planner is
 #    bit-identical to plain allocation on the paper's models.
@@ -58,6 +64,11 @@ echo "== kernel engines: fx-tensor suite under AVX2 (+/- VNNI) and scalar =="
 FX_SIMD=1 cargo test -q --release -p fx-tensor
 FX_SIMD=1 FX_VNNI=0 cargo test -q --release -p fx-tensor
 FX_SIMD=0 cargo test -q --release -p fx-tensor
+
+echo "== GEMM blocking sweep: FX_GEMM_KC=64 FX_GEMM_NC=32 =="
+FX_GEMM_KC=64 FX_GEMM_NC=32 cargo test -q --release -p fx-tensor
+FX_GEMM_KC=64 FX_GEMM_NC=32 cargo test -q --release \
+    --test executor_parity --test serve_parity --test quant_parity
 
 echo "== memory-planner parity: FX_MEMPLAN=0 =="
 FX_MEMPLAN=0 cargo test -q --release --test executor_parity --test memplan_estimator
