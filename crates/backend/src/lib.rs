@@ -1,26 +1,21 @@
-//! # fx-backend — a TensorRT-like ahead-of-time inference engine
+//! # fx-backend — backend lowering as a graph transform
 //!
-//! The paper's §6.4 case study rebuilt in Rust: an optimizing backend
-//! that consumes captured fx graphs and produces flat, fused, planned
-//! [`Engine`]s, plus the fx2trt-style [`lower`] entry point that
-//! auto-splits models between the engine and the interpreter.
+//! The paper's §6.4 case study (fx2trt) treats lowering to an
+//! optimized backend as a `GraphModule → GraphModule` transform. This
+//! crate does the same, on the CPU kernels of `fx-tensor`:
 //!
-//! What the compiler does (all ahead of time, enabled by the graph
-//! representation):
+//! * [`fuse_epilogues`] rewrites each `Conv2d` / `Linear` whose single
+//!   user is a ReLU into one `conv2d_relu` / `linear_relu` node that
+//!   applies the ReLU in the GEMM write-back. It is bit-preserving: the
+//!   fused kernel computes the same floats in the same order.
+//! * [`lower`] runs conv–BN folding (numerics-changing, from
+//!   `fx-passes`), dead-code elimination and [`fuse_epilogues`], and
+//!   returns the lowered module with a [`LowerReport`].
 //!
-//! * conv–BN constant folding (reusing `fx-passes`),
-//! * activation-epilogue fusion (`conv+relu`, `linear+gelu`,
-//!   residual `add+relu`),
-//! * single-pass unary elementwise chains,
-//! * dead-instruction elimination,
-//! * buffer liveness planning: last consumers take buffers so epilogues
-//!   run in place, and the register file is compacted with a free list.
-//!
-//! The engine also plugs into the runtime-neutral
-//! [`ExecutionBackend`](fx_core::ExecutionBackend) trait via
-//! [`EngineBackend`] (exact mode by default — bit-identical to the
-//! executor), and [`autotune`] picks the fastest backend × configuration
-//! for a graph by measurement, caching the winner on the `GraphModule`.
+//! Every op the backend cannot fuse stays an ordinary node, so there is
+//! no partitioning and no fallback path: the lowered graph runs on the
+//! plan-cached [`Executor`](fx_core::Executor) like any other, with its
+//! buffer pool, threads, profiling and hooks.
 //!
 //! ```
 //! use fx_backend::lower;
@@ -32,7 +27,7 @@
 //! let mut rng = StdRng::seed_from_u64(0);
 //! let gm = symbolic_trace(&resnet_tiny(&mut rng)).unwrap();
 //! let (lowered, report) = lower(&gm).unwrap();
-//! assert_eq!(report.fallback_partitions, 0);
+//! assert!(report.conv_bn_folded > 0 && report.epilogues_fused > 0);
 //! let x = Value::Tensor(Tensor::randn(&[1, 3, 32, 32], &mut rng));
 //! let y = lowered.run(&[x]).unwrap();
 //! assert_eq!(y.as_tensor().unwrap().shape(), &[1, 10]);
@@ -40,14 +35,6 @@
 
 #![warn(missing_docs)]
 
-mod compile;
-mod engine;
-mod exec;
 mod lower;
 
-pub use compile::{compile, compile_with, is_supported, CompileOptions};
-pub use engine::{Activation, BinKind, Engine, Instr, Kernel, UnaryKind};
-pub use exec::{
-    autotune, autotune_with, backend_by_name, prepare_choice, AutotuneOptions, EngineBackend,
-};
-pub use lower::{lower, EngineModule, LowerReport};
+pub use lower::{fuse_epilogues, lower, LowerReport};

@@ -1,7 +1,8 @@
-//! Criterion bench for E4 (§6.4 / Figure 8 / Appendix D): eager
-//! interpreter vs the TensorRT-like compiled engine, on ResNet-18 and
-//! the LearningToPaint actor. `repro-trt` runs the full-scale ResNet50
-//! version plus the roofline-simulated V100 rows.
+//! Criterion bench for E4 (§6.4 / Figure 8 / Appendix D): the traced
+//! graph vs the lowered graph (conv–BN folded, conv+ReLU fused), both
+//! on the executor, on ResNet-18 and the LearningToPaint actor.
+//! `repro-trt` runs the full-scale ResNet50 version plus the
+//! roofline-simulated V100 rows.
 
 use fx_bench::criterion::{criterion_group, criterion_main, Criterion};
 use fx_backend::lower;
@@ -20,8 +21,8 @@ fn tensorrt(c: &mut Criterion) {
     let gm = symbolic_trace(&rn18).unwrap();
     let (lowered, report) = lower(&gm).unwrap();
     println!(
-        "[tensorrt] RN18: {} nodes -> {} fused instructions ({} partitions)",
-        report.source_nodes, report.engine_instructions, report.engine_partitions
+        "[tensorrt] RN18: {} nodes -> {} ({} conv-bn folded, {} epilogues fused)",
+        report.source_nodes, report.lowered_nodes, report.conv_bn_folded, report.epilogues_fused
     );
     let x = Value::Tensor(Tensor::randn(&[1, 3, 64, 64], &mut rng));
     group.bench_function("eager_resnet18", |b| {

@@ -50,6 +50,70 @@ impl Stats {
     }
 }
 
+/// Median and quartiles over timing trials (or per-trial ratios).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Spread {
+    /// First quartile.
+    pub q1: f64,
+    /// Median.
+    pub median: f64,
+    /// Third quartile.
+    pub q3: f64,
+}
+
+impl Spread {
+    /// Compute from raw samples, with linear interpolation between
+    /// order statistics.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `samples` is empty.
+    pub fn from_samples(samples: &[f64]) -> Spread {
+        assert!(!samples.is_empty(), "need at least one sample");
+        let mut v = samples.to_vec();
+        v.sort_by(f64::total_cmp);
+        let at = |q: f64| {
+            let pos = q * (v.len() - 1) as f64;
+            let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+            v[lo] + (v[hi] - v[lo]) * (pos - lo as f64)
+        };
+        Spread {
+            q1: at(0.25),
+            median: at(0.5),
+            q3: at(0.75),
+        }
+    }
+
+    /// Interquartile range.
+    pub fn iqr(&self) -> f64 {
+        self.q3 - self.q1
+    }
+}
+
+/// Time `a` and `b` in alternation — `a, b, a, b, …` — after `warmup`
+/// untimed calls of each, returning each side's per-trial seconds.
+/// Alternating makes slow drifts of the host (frequency, neighbours)
+/// hit both sides alike, so per-trial ratios `a[i] / b[i]` are paired.
+pub fn interleaved_trials(
+    trials: usize,
+    warmup: usize,
+    mut a: impl FnMut(),
+    mut b: impl FnMut(),
+) -> (Vec<f64>, Vec<f64>) {
+    for _ in 0..warmup {
+        a();
+        b();
+    }
+    let time = |f: &mut dyn FnMut()| {
+        let t0 = Instant::now();
+        f();
+        t0.elapsed().as_secs_f64()
+    };
+    (0..trials.max(1))
+        .map(|_| (time(&mut a), time(&mut b)))
+        .unzip()
+}
+
 /// Run `f` `warmup + trials` times, timing the last `trials`.
 pub fn time_trials(trials: usize, warmup: usize, mut f: impl FnMut()) -> Stats {
     for _ in 0..warmup {
@@ -124,6 +188,25 @@ mod tests {
     #[should_panic(expected = "at least one")]
     fn stats_rejects_empty() {
         let _ = Stats::from_samples(&[]);
+    }
+
+    #[test]
+    fn spread_interpolates_quartiles() {
+        let s = Spread::from_samples(&[4.0, 1.0, 3.0, 2.0, 5.0]);
+        assert_eq!((s.q1, s.median, s.q3), (2.0, 3.0, 4.0));
+        assert_eq!(s.iqr(), 2.0);
+        let s = Spread::from_samples(&[1.0, 2.0]);
+        assert_eq!((s.q1, s.median, s.q3), (1.25, 1.5, 1.75));
+    }
+
+    #[test]
+    fn interleaved_trials_alternate() {
+        let order = std::cell::RefCell::new(Vec::new());
+        let (a, b) = interleaved_trials(3, 1, || order.borrow_mut().push('a'), || {
+            order.borrow_mut().push('b')
+        });
+        assert_eq!((a.len(), b.len()), (3, 3));
+        assert_eq!(order.into_inner(), "abababab".chars().collect::<Vec<_>>());
     }
 
     #[test]

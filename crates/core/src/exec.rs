@@ -1,24 +1,24 @@
-//! One object-safe surface over every way to run a [`GraphModule`].
+//! One object-safe surface for readying a [`GraphModule`] to serve.
 //!
-//! The repo grew two executors with incompatible APIs: the plan-cached
-//! [`Executor`] (`run(&mut self, &[Value])`) and the AoT
-//! `fx_backend::Engine` (`run(&self, &[Tensor])`). The
-//! [`ExecutionBackend`] / [`PreparedModel`] pair normalizes both behind
-//! one trait object, so consumers — `fx_serve`, benches, the autotuner —
-//! can hold a `Box<dyn PreparedModel>` and not care which engine
-//! answers:
+//! The plan-cached [`Executor`] runs through `&mut self`; servers and
+//! benches want a shareable `&self` handle they can run from many
+//! threads. The [`ExecutionBackend`] / [`PreparedModel`] pair provides
+//! it as a trait object, so consumers such as `fx_serve` hold a
+//! `Box<dyn PreparedModel>` and tests can slot in doubles:
 //!
 //! ```text
-//! backend.prepare(&gm)? -> Box<dyn PreparedModel>   // compile / warm once
+//! backend.prepare(&gm)? -> Box<dyn PreparedModel>   // compile the plan once
 //! prepared.run(&inputs)?                            // &self, &[Value], Send + Sync
 //! ```
 //!
-//! [`ExecConfig`] is the unified knob set both `Executor` and
+//! Lowering is a graph transform (`fx_backend::lower`), not a second
+//! engine: a lowered `GraphModule` is prepared and run here like any
+//! other.
+//!
+//! [`ExecConfig`] is the knob set both `Executor` and
 //! `fx_serve::ServerBuilder` accept; the `FX_THREADS` / `FX_MEMPLAN`
 //! environment overrides are resolved here, in exactly one place
-//! ([`ExecConfig::from_env`]). [`ExecChoice`] records an autotuned
-//! backend + config decision, cached on the `GraphModule` keyed by its
-//! graph mutation version (see `fx_backend::autotune`).
+//! ([`ExecConfig::from_env`]).
 
 use crate::error::Result;
 use crate::executor::{Executor, RunProfile};
@@ -27,8 +27,7 @@ use crate::value::Value;
 use std::sync::OnceLock;
 
 /// Unified execution configuration, accepted by [`Executor`] (via its
-/// builder methods) and `fx_serve::ServerBuilder::exec_config`, and
-/// searched over by `fx_backend::autotune`.
+/// builder methods) and `fx_serve::ServerBuilder::exec_config`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExecConfig {
     /// Inter-op worker threads; `0` means the machine's configured
@@ -37,12 +36,6 @@ pub struct ExecConfig {
     /// Buffer-pool recycling of dead intermediates plus in-place unary
     /// rewrites. Bit-identical to plain allocation by construction.
     pub memory_planning: bool,
-    /// Allow numerics-changing fusion in backends that support it (the
-    /// engine's conv–BN constant folding and pointwise 1×1-conv GEMM
-    /// routing). Off by default: every backend then computes results
-    /// **bit-identical** to the default `Executor`. The plain executor
-    /// backend ignores this flag.
-    pub fusion: bool,
 }
 
 /// Process-wide `FX_MEMPLAN` default: on unless the env var is `0`.
@@ -67,12 +60,11 @@ impl ExecConfig {
     /// The process default configuration — **the** single resolution
     /// point for the `FX_THREADS` and `FX_MEMPLAN` environment
     /// overrides (read once per process). Without overrides: 1 thread,
-    /// memory planning on, fusion off.
+    /// memory planning on.
     pub fn from_env() -> ExecConfig {
         ExecConfig {
             threads: threads_from_env(),
             memory_planning: memplan_from_env(),
-            fusion: false,
         }
     }
 
@@ -87,12 +79,6 @@ impl ExecConfig {
         self.memory_planning = on;
         self
     }
-
-    /// Enable or disable numerics-changing backend fusion.
-    pub fn with_fusion(mut self, on: bool) -> ExecConfig {
-        self.fusion = on;
-        self
-    }
 }
 
 impl Default for ExecConfig {
@@ -104,27 +90,21 @@ impl Default for ExecConfig {
 
 impl std::fmt::Display for ExecConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "threads={} memplan={} fusion={}",
-            self.threads, self.memory_planning, self.fusion
-        )
+        write!(f, "threads={} memplan={}", self.threads, self.memory_planning)
     }
 }
 
-/// A model readied for repeated execution: plan compiled (or engine
-/// built), shareable across threads, runnable through `&self`.
+/// A model readied for repeated execution: plan compiled, shareable
+/// across threads, runnable through `&self`.
 ///
-/// Implementations promise `run` is semantically identical to a solo
-/// [`Executor::run`] of the same graph; backends prepared with
-/// [`ExecConfig::fusion`] off are additionally **bit-identical** to it.
+/// Implementations promise `run` is **bit-identical** to a solo
+/// [`Executor::run`] of the same graph.
 pub trait PreparedModel: Send + Sync {
     /// Run on `inputs` (one per placeholder).
     fn run(&self, inputs: &[Value]) -> Result<Value>;
 
-    /// Run and return the output with a [`RunProfile`] in the common
-    /// shape (per-node/per-instruction times, plan-cache counters where
-    /// the backend has them).
+    /// Run and return the output with a [`RunProfile`] (per-node times,
+    /// plan-cache counters).
     fn run_profiled(&self, inputs: &[Value]) -> Result<(Value, RunProfile)>;
 
     /// One line describing what will execute (backend, configuration),
@@ -135,8 +115,7 @@ pub trait PreparedModel: Send + Sync {
 /// An execution strategy that can ready a [`GraphModule`] for serving:
 /// the object-safe factory side of the trait pair.
 pub trait ExecutionBackend: Send + Sync {
-    /// Stable backend name (`"executor"`, `"engine"`), usable as the
-    /// [`ExecChoice::backend`] key.
+    /// Stable backend name (`"executor"` for the default), for logs.
     fn name(&self) -> &'static str;
 
     /// Prepare `gm` with the process-default [`ExecConfig`].
@@ -194,44 +173,6 @@ impl ExecutionBackend for ExecutorBackend {
         // pay levelization; runs then share it via the snapshot's cache.
         gm.exec_plan()?;
         Ok(Box::new(PreparedExecutor { gm, cfg }))
-    }
-}
-
-/// The winning backend + configuration from a `fx_backend::autotune`
-/// search over one graph, cached on the [`GraphModule`] (see
-/// [`GraphModule::exec_choice`]) and invalidated by any graph edit.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExecChoice {
-    /// Backend name, resolvable via `fx_backend::backend_by_name`.
-    pub backend: String,
-    /// The chosen configuration.
-    pub config: ExecConfig,
-    /// Measured seconds per run for the chosen candidate (min over the
-    /// search's timed trials). Never greater than `default_seconds` —
-    /// the default configuration is always in the candidate set.
-    pub measured_seconds: f64,
-    /// Measured seconds per run for the default configuration
-    /// ([`ExecConfig::from_env`] on [`ExecutorBackend`]).
-    pub default_seconds: f64,
-    /// The estimator's roofline prediction for one serial run, when
-    /// shape metadata allowed one (`fx_passes::estimate`).
-    pub predicted_seconds: Option<f64>,
-    /// [`Graph::version`](crate::Graph::version) the search ran against;
-    /// the cache serves this choice only while the version still
-    /// matches.
-    pub graph_version: u64,
-}
-
-impl std::fmt::Display for ExecChoice {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{}({}) {:.3}ms vs default {:.3}ms",
-            self.backend,
-            self.config,
-            self.measured_seconds * 1e3,
-            self.default_seconds * 1e3
-        )
     }
 }
 
@@ -305,29 +246,5 @@ mod tests {
                 });
             }
         });
-    }
-
-    #[test]
-    fn exec_choice_cache_is_version_keyed() {
-        let mut gm = gm();
-        assert!(gm.exec_choice().is_none());
-        gm.set_exec_choice(ExecChoice {
-            backend: "executor".to_string(),
-            config: ExecConfig::from_env(),
-            measured_seconds: 1e-4,
-            default_seconds: 2e-4,
-            predicted_seconds: None,
-            graph_version: 0, // overwritten by set_exec_choice
-        });
-        let cached = gm.exec_choice().expect("choice cached");
-        assert_eq!(cached.backend, "executor");
-        assert_eq!(cached.graph_version, gm.graph().version());
-        // A clone carries the snapshot...
-        assert!(gm.clone().exec_choice().is_some());
-        // ...and any structural edit invalidates it.
-        let relu = gm.graph().find_by_name("relu").unwrap().id();
-        gm.graph_mut().set_target(relu, "gelu").unwrap();
-        gm.recompile().unwrap();
-        assert!(gm.exec_choice().is_none(), "stale choice must not serve");
     }
 }

@@ -1,6 +1,5 @@
-//! The unified [`Executor`]: one entry point for running a
-//! [`GraphModule`], replacing the scattered `Interpreter::run` /
-//! `Interpreter::run_hooked` / direct-invocation paths.
+//! The [`Executor`]: the one entry point for running a
+//! [`GraphModule`], plain, hooked ([`InterpHook`]) or profiled.
 //!
 //! ```text
 //! Executor::new(&gm)
@@ -29,9 +28,8 @@
 use crate::error::{Error, Result};
 use crate::exec_plan::{ExecPlan, PlanArg, Step};
 use crate::graph_module::GraphModule;
-use crate::interp::InterpHook;
 use crate::module::{join_path, module_ptr, ModuleExt};
-use crate::node::Opcode;
+use crate::node::{Node, Opcode};
 use crate::trace;
 use crate::value::Value;
 use crate::dispatch;
@@ -59,6 +57,15 @@ fn run_caught(f: impl FnOnce() -> Result<Value>) -> Result<Value> {
     }
 }
 
+/// Observe node-by-node execution: the pattern behind `ShapeProp` and
+/// the quantization observers (paper §6.3). A hooked run executes nodes
+/// in strict definition order.
+pub trait InterpHook {
+    /// Called after each node executes with the node and its produced
+    /// value. Returning an error aborts the run.
+    fn on_node(&mut self, node: &Node, value: &Value) -> Result<()>;
+}
+
 /// Wall time attributed to one executed node.
 #[derive(Debug, Clone)]
 pub struct NodeTime {
@@ -84,7 +91,7 @@ pub struct WavefrontStat {
 }
 
 /// Observability record for one `Executor::run`, consumable by the
-/// estimator (measured vs. predicted cost) and the backend engine.
+/// estimator (measured vs. predicted cost) and the overlap scheduler.
 #[derive(Debug, Clone, Default)]
 pub struct RunProfile {
     /// End-to-end wall time of the run in seconds.

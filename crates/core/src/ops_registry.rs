@@ -71,16 +71,26 @@ fn op_leaky_relu(i: &Inputs<'_>) -> Result<Value> {
     t(ops::leaky_relu(i.tensor(0)?, i.float_or(1, 0.01)? as f32)?)
 }
 
+fn linear(i: &Inputs<'_>, relu: bool) -> Result<Value> {
+    t(ops::linear_act(i.tensor(0)?, i.tensor(1)?, i.opt_tensor(2)?, relu)?)
+}
+
 fn op_linear(i: &Inputs<'_>) -> Result<Value> {
-    t(ops::linear(i.tensor(0)?, i.tensor(1)?, i.opt_tensor(2)?)?)
+    linear(i, false)
+}
+
+/// `linear` with its ReLU applied in the GEMM write-back — the fused
+/// op `fx_backend::fuse_epilogues` emits. Same args as `linear`.
+fn op_linear_relu(i: &Inputs<'_>) -> Result<Value> {
+    linear(i, true)
 }
 
 fn op_matmul(i: &Inputs<'_>) -> Result<Value> {
     t(ops::matmul(i.tensor(0)?, i.tensor(1)?)?)
 }
 
-fn op_conv2d(i: &Inputs<'_>) -> Result<Value> {
-    t(ops::conv2d(
+fn conv2d(i: &Inputs<'_>, relu: bool) -> Result<Value> {
+    t(ops::conv2d_act(
         i.tensor(0)?,
         i.tensor(1)?,
         i.opt_tensor(2)?,
@@ -88,7 +98,18 @@ fn op_conv2d(i: &Inputs<'_>) -> Result<Value> {
         i.usize_pair(4)?,
         i.usize_pair(5)?,
         i.int_or(6, 1)? as usize,
+        relu,
     )?)
+}
+
+fn op_conv2d(i: &Inputs<'_>) -> Result<Value> {
+    conv2d(i, false)
+}
+
+/// `conv2d` with its ReLU applied in the GEMM write-back — the fused
+/// op `fx_backend::fuse_epilogues` emits. Same args as `conv2d`.
+fn op_conv2d_relu(i: &Inputs<'_>) -> Result<Value> {
+    conv2d(i, true)
 }
 
 fn op_batch_norm(i: &Inputs<'_>) -> Result<Value> {
@@ -364,8 +385,10 @@ pub(crate) fn builtin_functions() -> HashMap<String, OpFn> {
         ("hardtanh", op_hardtanh),
         ("leaky_relu", op_leaky_relu),
         ("linear", op_linear),
+        ("linear_relu", op_linear_relu),
         ("matmul", op_matmul),
         ("conv2d", op_conv2d),
+        ("conv2d_relu", op_conv2d_relu),
         ("batch_norm", op_batch_norm),
         ("layer_norm", op_layer_norm),
         ("max_pool2d", op_max_pool2d),
@@ -450,7 +473,15 @@ mod tests {
     #[test]
     fn function_and_method_registries_cover_core_ops() {
         let fns = builtin_functions();
-        for name in ["relu", "conv2d", "linear", "batch_norm", "quantized::linear"] {
+        for name in [
+            "relu",
+            "conv2d",
+            "conv2d_relu",
+            "linear",
+            "linear_relu",
+            "batch_norm",
+            "quantized::linear",
+        ] {
             assert!(fns.contains_key(name), "missing function {name}");
         }
         let ms = builtin_methods();

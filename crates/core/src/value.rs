@@ -225,9 +225,9 @@ impl TryFrom<Value> for Tensor {
     type Error = Error;
 
     /// [`Value::into_tensor`] as a standard conversion, so
-    /// `&[Tensor]`-based APIs (`fx_backend::Engine::run`) and
-    /// `&[Value]`-based ones ([`crate::Executor::run`]) interconvert
-    /// without ad-hoc glue at every call site.
+    /// `&[Tensor]`-based kernels and `&[Value]`-based APIs
+    /// ([`crate::Executor::run`]) interconvert without ad-hoc glue at
+    /// every call site.
     fn try_from(v: Value) -> Result<Tensor> {
         v.into_tensor()
     }

@@ -2,10 +2,9 @@
 //! constants (immediates and `get_attr` parameters) once, ahead of time,
 //! and replace them with attribute fetches of the precomputed result.
 //!
-//! This is the ahead-of-time half of what the backend's engine compiler
-//! does when it folds batch-norm parameters; exposed as a standalone
-//! pass it also cleans up scale/shift expressions left by other
-//! transforms.
+//! This is the general form of what conv–BN fusion does when it folds
+//! batch-norm parameters into a convolution; as a standalone pass it
+//! also cleans up scale/shift expressions left by other transforms.
 
 use fx_core::{dispatch, Arg, GraphModule, NodeId, Opcode, Result, Value};
 use std::collections::HashMap;

@@ -261,7 +261,7 @@ pub fn node_cost(gm: &GraphModule, node: &Node) -> (u64, u64, bool) {
     }
 
     let flops = match target {
-        "conv2d" | "quantized::conv2d" | "quantized::conv2d_relu" => {
+        "conv2d" | "conv2d_relu" | "quantized::conv2d" | "quantized::conv2d_relu" => {
             let w_shape = node
                 .args()
                 .get(1)
@@ -275,7 +275,7 @@ pub fn node_cost(gm: &GraphModule, node: &Node) -> (u64, u64, bool) {
             };
             2 * out_n * k
         }
-        "linear" | "quantized::linear" | "quantized::linear_relu" => {
+        "linear" | "linear_relu" | "quantized::linear" | "quantized::linear_relu" => {
             2 * out_n * in_shape.last().copied().unwrap_or(1) as u64
         }
         "matmul" => {
@@ -289,6 +289,12 @@ pub fn node_cost(gm: &GraphModule, node: &Node) -> (u64, u64, bool) {
         "flatten" | "reshape" | "view" | "permute" | "transpose" | "cat" | "contiguous"
         | "dropout" => 0,
         _ => out_n,
+    };
+    // A fused `*_relu` op also does the ReLU's one op per output
+    // element, so fusing an epilogue keeps the graph's total FLOPs.
+    let flops = match target {
+        "conv2d_relu" | "linear_relu" => flops + out_n,
+        _ => flops,
     };
     let weight_bytes: u64 = node
         .args()

@@ -334,7 +334,7 @@ fn infer_call(node: &Node, env: &HashMap<NodeId, AbsVal>) -> Result<AbsVal> {
                 .unwrap_or_default(); // scalar immediates broadcast as []
             broadcast_shapes(&a, &b).map_err(Error::Tensor)?
         }
-        "linear" | "quantized::linear" | "quantized::linear_relu" => {
+        "linear" | "linear_relu" | "quantized::linear" | "quantized::linear_relu" => {
             let mut x = shape(0)?;
             let w = shape(1)?;
             let out = *w.first().ok_or_else(|| bad_rank(node))?;
@@ -342,7 +342,7 @@ fn infer_call(node: &Node, env: &HashMap<NodeId, AbsVal>) -> Result<AbsVal> {
             // contraction-dim mismatch here so admission checks (e.g.
             // serve registration/swap) catch it before runtime. The
             // quantized variants keep packed layouts — skip them.
-            if target == "linear" {
+            if matches!(target, "linear" | "linear_relu") {
                 let in_f = *w.get(1).ok_or_else(|| bad_rank(node))?;
                 let got = *x.last().ok_or_else(|| bad_rank(node))?;
                 if got != in_f {
@@ -392,12 +392,12 @@ fn infer_call(node: &Node, env: &HashMap<NodeId, AbsVal>) -> Result<AbsVal> {
                 _ => return Err(bad_rank(node)),
             }
         }
-        "conv2d" | "quantized::conv2d" | "quantized::conv2d_relu" => {
+        "conv2d" | "conv2d_relu" | "quantized::conv2d" | "quantized::conv2d_relu" => {
             let x = shape(0)?;
             let w = shape(1)?;
             let stride = node.args().get(3).and_then(pair_arg).unwrap_or((1, 1));
             let padding = node.args().get(4).and_then(pair_arg).unwrap_or((0, 0));
-            let dilation = if target == "conv2d" {
+            let dilation = if matches!(target, "conv2d" | "conv2d_relu") {
                 node.args().get(5).and_then(pair_arg).unwrap_or((1, 1))
             } else {
                 (1, 1)

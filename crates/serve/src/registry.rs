@@ -135,7 +135,7 @@ impl ModelConfig {
         self
     }
 
-    /// Execution configuration (threads, memory planning, fusion)
+    /// Execution configuration (threads, memory planning)
     /// handed to the backend's `prepare_with` at registration and at
     /// every swap.
     pub fn exec_config(mut self, cfg: ExecConfig) -> ModelConfig {

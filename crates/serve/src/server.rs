@@ -275,7 +275,7 @@ impl ServerBuilder {
         self
     }
 
-    /// Full execution configuration (threads, memory planning, fusion)
+    /// Full execution configuration (threads, memory planning)
     /// handed to the backend's `prepare_with` at build time. Replaces
     /// any prior [`ServerBuilder::executor_threads`] setting.
     pub fn exec_config(mut self, cfg: ExecConfig) -> ServerBuilder {
@@ -284,17 +284,18 @@ impl ServerBuilder {
     }
 
     /// Serve through `backend` instead of the default
-    /// `ExecutorBackend`. Any [`ExecutionBackend`] works — e.g.
-    /// `fx_backend::EngineBackend::new()`, whose exact mode serves
-    /// traffic bit-identically to the executor.
+    /// `ExecutorBackend`. Any [`ExecutionBackend`] works; the seam
+    /// exists for wrappers and test doubles. To serve a lowered model,
+    /// lower the graph (`fx_backend::lower`) and hand the result to
+    /// [`Server::builder`]: it runs on the default backend.
     pub fn with_backend(mut self, backend: Arc<dyn ExecutionBackend>) -> ServerBuilder {
         self.cfg = self.cfg.backend(backend);
         self
     }
 
     /// Run the admission check, prepare the execution backend (plan
-    /// compilation / engine compilation happens here, not on the first
-    /// request), and spawn the batcher and worker threads.
+    /// compilation happens here, not on the first request), and spawn
+    /// the batcher and worker threads.
     pub fn build(self) -> Result<Server> {
         let registry = RegistryBuilder::new().workers(self.workers).build()?;
         let handle =

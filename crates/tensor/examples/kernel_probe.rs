@@ -50,6 +50,6 @@ fn main() {
     let x1 = Tensor::rand_uniform(&[1, 512, 2, 2], -1.0, 1.0, &mut rng);
     let w1 = Tensor::rand_uniform(&[2048, 512, 1, 1], -0.5, 0.5, &mut rng);
     time_gflops("conv1x1 512->2048 @2x2", 2 * 2048 * 2 * 2 * 512, || {
-        ops::conv2d_pointwise(&x1, &w1, None).unwrap();
+        ops::conv2d(&x1, &w1, None, (1, 1), (0, 0), (1, 1), 1).unwrap();
     });
 }

@@ -8,7 +8,7 @@
 //! so the full `[n·p, kg]` im2col scratch is never allocated.
 
 use crate::error::{Error, Result};
-use crate::ops::matmul::{gemm_nn_into, gemm_nt_into};
+use crate::ops::matmul::gemm_nt_into;
 use crate::ops::simd::{self, BSrc, PatchSrc};
 use crate::pool;
 use crate::tensor::Tensor;
@@ -42,72 +42,6 @@ fn out_extent(
     }
 }
 
-/// Pointwise (1×1, stride 1, no padding/dilation/groups) convolution as
-/// a direct GEMM over channels, skipping im2col entirely: for each
-/// image, `out[O, H*W] = W[O, C] @ x[C, H*W]`.
-///
-/// This is the "kernel selection" a backend compiler performs (TensorRT
-/// picks specialized kernels per layer); the engine in `fx-backend`
-/// routes eligible convs here. ResNet50's bottlenecks are two-thirds
-/// 1×1 convs, so the saved patch-copy is substantial.
-pub fn conv2d_pointwise(x: &Tensor, w: &Tensor, bias: Option<&Tensor>) -> Result<Tensor> {
-    conv2d_pointwise_act(x, w, bias, false)
-}
-
-/// [`conv2d_pointwise`] with an optional fused ReLU epilogue (the
-/// backend engine's `conv+relu` lowering). Elementwise identical to
-/// running the plain kernel followed by `relu`.
-pub fn conv2d_pointwise_act(
-    x: &Tensor,
-    w: &Tensor,
-    bias: Option<&Tensor>,
-    relu: bool,
-) -> Result<Tensor> {
-    let xd = x.as_f32()?;
-    let wd = w.as_f32()?;
-    let xs = x.shape();
-    let ws = w.shape();
-    if xs.len() != 4 || ws.len() != 4 || ws[2] != 1 || ws[3] != 1 || ws[1] != xs[1] {
-        return Err(Error::ShapeMismatch {
-            op: "conv2d_pointwise",
-            expected: "x [N,C,H,W] and w [O,C,1,1]".to_string(),
-            got: ws.to_vec(),
-        });
-    }
-    let (n, c, h, win) = (xs[0], xs[1], xs[2], xs[3]);
-    let o = ws[0];
-    let hw = h * win;
-    let bias_slice = match bias {
-        Some(b) => Some(b.as_f32()?),
-        None => None,
-    };
-    // Pooled, garbage-tolerant output: the GEMM writes every element.
-    let mut out = pool::alloc_f32(n * o * hw);
-    for img in 0..n {
-        // W is [O, C] row-major; x image is [C, HW] row-major — GEMM
-        // directly into the output window, no intermediate copy.
-        let dst = &mut out[img * o * hw..(img + 1) * o * hw];
-        let x_img = &xd[img * c * hw..(img + 1) * c * hw];
-        if simd::simd_enabled() {
-            // Bias (per output channel = per C row) and ReLU fused into
-            // the microkernel write-back.
-            simd::gemm(o, c, hw, &wd[..o * c], BSrc::RowMajor(x_img), dst, bias_slice, None, relu);
-        } else {
-            gemm_nn_into(o, c, hw, &wd[..o * c], x_img, dst);
-            if let Some(bd) = bias_slice {
-                for (oc, row) in dst.chunks_mut(hw).enumerate() {
-                    let bv = bd[oc];
-                    row.iter_mut().for_each(|v| *v += bv);
-                }
-            }
-            if relu {
-                dst.iter_mut().for_each(|v| *v = v.max(0.0));
-            }
-        }
-    }
-    Ok(Tensor::from_vec(out, &[n, o, h, win]))
-}
-
 /// 2-d convolution with PyTorch `conv2d` semantics.
 ///
 /// * `x` — input `[N, C, H, W]`
@@ -132,8 +66,8 @@ pub fn conv2d(
 
 /// [`conv2d`] with an optional fused ReLU epilogue, applied while
 /// scattering GEMM results into the output layout — elementwise
-/// identical to running [`conv2d`] followed by `relu`. This is the hook
-/// the backend engine's epilogue fusion lowers `conv+relu` through.
+/// identical to running [`conv2d`] followed by `relu`. This is the
+/// kernel behind the fused `conv2d_relu` graph op.
 #[allow(clippy::too_many_arguments)]
 pub fn conv2d_act(
     x: &Tensor,
@@ -618,21 +552,6 @@ mod tests {
     }
 
     #[test]
-    fn pointwise_matches_general_conv() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let x = Tensor::rand_uniform(&[2, 5, 7, 6], -1.0, 1.0, &mut rng);
-        let w = Tensor::rand_uniform(&[3, 5, 1, 1], -0.5, 0.5, &mut rng);
-        let b = Tensor::rand_uniform(&[3], -0.1, 0.1, &mut rng);
-        let fast = conv2d_pointwise(&x, &w, Some(&b)).unwrap();
-        let general = conv2d(&x, &w, Some(&b), (1, 1), (0, 0), (1, 1), 1).unwrap();
-        assert_eq!(fast.shape(), general.shape());
-        assert!(fast.allclose(&general, 1e-4));
-        // Rejects non-1x1 weights.
-        let w3 = Tensor::ones(&[3, 5, 3, 3]);
-        assert!(conv2d_pointwise(&x, &w3, None).is_err());
-    }
-
-    #[test]
     fn conv_rejects_bad_channels() {
         let x = Tensor::ones(&[1, 3, 4, 4]);
         let w = Tensor::ones(&[2, 4, 3, 3]);
@@ -707,8 +626,8 @@ mod tests {
         let relu: Vec<f32> = plain.as_f32().unwrap().iter().map(|v| v.max(0.0)).collect();
         assert_eq!(fused.as_f32().unwrap(), &relu[..]);
         let pw = Tensor::rand_uniform(&[4, 3, 1, 1], -0.5, 0.5, &mut rng);
-        let fused = conv2d_pointwise_act(&x, &pw, Some(&b), true).unwrap();
-        let plain = conv2d_pointwise(&x, &pw, Some(&b)).unwrap();
+        let fused = conv2d_act(&x, &pw, Some(&b), (1, 1), (0, 0), (1, 1), 1, true).unwrap();
+        let plain = conv2d(&x, &pw, Some(&b), (1, 1), (0, 0), (1, 1), 1).unwrap();
         let relu: Vec<f32> = plain.as_f32().unwrap().iter().map(|v| v.max(0.0)).collect();
         assert_eq!(fused.as_f32().unwrap(), &relu[..]);
     }

@@ -254,8 +254,8 @@ pub fn linear(x: &Tensor, w: &Tensor, b: Option<&Tensor>) -> Result<Tensor> {
     linear_act(x, w, b, false)
 }
 
-/// [`linear`] with an optional fused ReLU epilogue, the hook the
-/// backend engine's epilogue fusion lowers `linear+relu` through. On
+/// [`linear`] with an optional fused ReLU epilogue, the kernel behind
+/// the fused `linear_relu` graph op. On
 /// the SIMD path bias and ReLU are applied during the GEMM write-back;
 /// either way the result is elementwise identical to running
 /// [`linear`] followed by `relu` (`+ bias` then `max(0)` are the same

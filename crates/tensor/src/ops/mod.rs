@@ -2,9 +2,8 @@
 //!
 //! These free functions are the "aten" layer of the stack: the op
 //! dispatcher in `fx-core` registers them as the eager implementations of
-//! `call_function` / `call_method` targets, and the interpreter, the
-//! quantization pass, the fusion pass and the backend engine all bottom
-//! out here.
+//! `call_function` / `call_method` targets, and the executor, the
+//! quantization pass and the fusion passes all bottom out here.
 
 mod batch;
 mod conv;
@@ -16,10 +15,7 @@ mod shape_ops;
 pub(crate) mod simd;
 
 pub use batch::{split_batch, stack_batch};
-pub use conv::{
-    adaptive_avg_pool2d, avg_pool2d, conv2d, conv2d_act, conv2d_pointwise, conv2d_pointwise_act,
-    max_pool2d,
-};
+pub use conv::{adaptive_avg_pool2d, avg_pool2d, conv2d, conv2d_act, max_pool2d};
 pub use simd::{simd_available, simd_enabled};
 pub use elementwise::{
     abs, add, clamp, div, exp, gelu, hardtanh, leaky_relu, log, maximum, minimum, mul, neg, relu,

@@ -281,8 +281,8 @@ impl Tensor {
     /// this handle uniquely owns its storage (the common case for a
     /// freshly produced kernel output), copying otherwise.
     ///
-    /// This is what lets the backend engine fuse activation epilogues
-    /// onto conv/linear outputs without an extra allocation.
+    /// This is what lets the executor run a unary op in place at its
+    /// input's last use, without an extra allocation.
     pub fn map_inplace(self, f: impl Fn(f32) -> f32) -> Result<Tensor> {
         let shape = self.shape.clone();
         let mut storage = self.storage;

@@ -66,7 +66,7 @@ fn run_kernels(tag: &str) {
     let pb = Tensor::rand_uniform(&[7], -0.1, 0.1, &mut rng);
     poison_pool();
     assert_no_nan(
-        &ops::conv2d_pointwise_act(&img, &pw, Some(&pb), true).unwrap(),
+        &ops::conv2d_act(&img, &pw, Some(&pb), (1, 1), (0, 0), (1, 1), 1, true).unwrap(),
         &format!("{tag} pointwise conv"),
     );
 

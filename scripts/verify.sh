@@ -19,21 +19,19 @@
 # 3b. memory-planner parity    — the executor parity suite under both
 #    FX_MEMPLAN=0 and FX_MEMPLAN=1, proving the buffer-pool planner is
 #    bit-identical to plain allocation on the paper's models.
-# 3c. cross-backend parity     — the executor + serve parity suites in
-#    release mode: both ExecutionBackends (plan-cached executor, exact-
-#    mode AoT engine) and the autotuned choice answer bit-identically
-#    to the solo executor, including under concurrent serve load.
+# 3c. fused-graph parity       — the executor + serve parity suites in
+#    release mode, once per GEMM engine: the epilogue-fused graph
+#    (fx_backend::fuse_epilogues) and the prepared executor backend
+#    answer bit-identically to the solo executor, including under
+#    concurrent serve load.
 # 3d. quantized parity         — tests/quant_parity.rs under every
 #    FX_SIMD × FX_MEMPLAN combination: a PTQ int8 ResNet answers
 #    bit-identically across engines, thread counts, planner modes and
 #    batch positions, and the serve registry hot-swaps f32↔int8.
 # 4. interp_vs_executor bench  — sequential (1-thread) vs parallel
 #    plan-cached Executor on ResNet-50; records measured numbers (and the
-#    plan-cache counters) to BENCH_executor.json at the workspace root.
-#    Also autotunes each evaluation model and records the chosen
-#    backend/config vs the default (the bench itself asserts the chosen
-#    config re-measures no slower than the default within a 15% noise
-#    margin); the autotune smoke step below checks the section landed.
+#    plan-cache counters, allocator and kernel roofline rows) to
+#    BENCH_executor.json at the workspace root.
 # 5. serve smoke bench         — a few hundred requests from 4 concurrent
 #    clients through the fx_serve dynamic batcher vs a one-at-a-time
 #    baseline, then the 2-model registry phases (solo baselines,
@@ -76,7 +74,7 @@ FX_MEMPLAN=0 cargo test -q --release --test executor_parity --test memplan_estim
 echo "== memory-planner parity: FX_MEMPLAN=1 =="
 FX_MEMPLAN=1 cargo test -q --release --test executor_parity --test memplan_estimator
 
-echo "== cross-backend parity: executor vs engine vs autotuned (both SIMD modes) =="
+echo "== executor vs fused-graph parity (both SIMD modes) =="
 FX_SIMD=1 cargo test -q --release --test executor_parity --test serve_parity
 FX_SIMD=0 cargo test -q --release --test executor_parity --test serve_parity
 
@@ -90,16 +88,11 @@ FX_SIMD=1 FX_MEMPLAN=0 cargo test -q --release --test quant_parity
 FX_SIMD=0 FX_MEMPLAN=1 cargo test -q --release --test quant_parity
 FX_SIMD=0 FX_MEMPLAN=0 cargo test -q --release --test quant_parity
 
-echo "== smoke bench: interp_vs_executor (+ autotune) =="
+echo "== smoke bench: interp_vs_executor =="
 cargo bench -p fx-bench --bench interp_vs_executor
 
 echo "== BENCH_executor.json =="
 cat BENCH_executor.json
-
-echo "== autotune smoke: chosen config recorded and within margin =="
-grep -q '"autotune"' BENCH_executor.json
-grep -q '"backend"' BENCH_executor.json
-echo "autotune section present (per-model <=1.15x default asserted in-bench)"
 
 echo "== kernel roofline smoke: GEMM/conv GFLOP/s vs host peak recorded =="
 grep -q '"kernels"' BENCH_executor.json

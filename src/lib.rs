@@ -15,7 +15,7 @@
 //! * [`models`] — the paper's evaluation models ([`fx_models`])
 //! * [`quant`] — FX graph-mode post-training quantization ([`fx_quant`])
 //! * [`passes`] — analyses and transforms ([`fx_passes`])
-//! * [`backend`] — TensorRT-like ahead-of-time engine ([`fx_backend`])
+//! * [`backend`] — fx2trt-style lowering to fused graph ops ([`fx_backend`])
 //! * [`jit`] — TorchScript-like comparator IR ([`fx_jit`])
 //! * [`serve`] — dynamic-batching inference server ([`fx_serve`])
 //!
@@ -51,13 +51,9 @@ pub use fx_tensor as tensor;
 /// The most commonly used items, for glob import.
 pub mod prelude {
     pub use fx_core::{
-        func, symbolic_trace, symbolic_trace_fn, ExecChoice, ExecConfig, ExecPlan,
-        ExecutionBackend, Executor, ExecutorBackend, Graph, GraphModule, Module, ModuleExt,
-        Node, Opcode, PreparedModel, RunProfile, Tracer, Value,
+        func, symbolic_trace, symbolic_trace_fn, ExecConfig, ExecPlan, ExecutionBackend,
+        Executor, ExecutorBackend, Graph, GraphModule, Module, ModuleExt, Node, Opcode,
+        PreparedModel, RunProfile, Tracer, Value,
     };
-    // Source-compat re-export of the deprecated shim; new code goes
-    // through `Executor` or `ExecutionBackend`.
-    #[allow(deprecated)]
-    pub use fx_core::Interpreter;
     pub use fx_tensor::{DType, Tensor};
 }

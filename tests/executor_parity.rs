@@ -1,6 +1,6 @@
 //! Executor parity suite: every execution path — the default prepared
 //! [`ExecutorBackend`], the parallel plan-cached executor (1, 2, and 8
-//! threads), the exact-mode AoT [`EngineBackend`], and the codegen
+//! threads), the graph after [`fuse_epilogues`], and the codegen
 //! round-trip (print → parse → rebuild → run) — must be
 //! **bit-identical** on the paper's evaluation models — including after
 //! conv–BN fusion and post-training quantization.
@@ -10,7 +10,7 @@
 //! only reorders *independent* nodes, and kernels chunk
 //! deterministically.
 
-use fx::backend::EngineBackend;
+use fx::backend::fuse_epilogues;
 use fx::passes::fuse_conv_bn;
 use fx::prelude::*;
 use fx::quant::{quantize_ptq, QConfig};
@@ -44,8 +44,9 @@ fn round_trip(gm: &GraphModule) -> GraphModule {
 /// All execution paths agree bit-for-bit on `inputs`: the prepared
 /// default backend, the executor across inter-op thread counts × memory
 /// planning on/off × intra-op kernel-pool threads (1 vs 4), the
-/// exact-mode engine backend, and the codegen round-trip.
-fn assert_paths_bit_identical(gm: &GraphModule, inputs: &[Value], label: &str) {
+/// epilogue-fused graph, and the codegen round-trip. Returns how many
+/// conv/linear+ReLU pairs the fused graph fused.
+fn assert_paths_bit_identical(gm: &GraphModule, inputs: &[Value], label: &str) -> usize {
     let reference = as_bits(
         &ExecutorBackend
             .prepare(gm)
@@ -85,19 +86,19 @@ fn assert_paths_bit_identical(gm: &GraphModule, inputs: &[Value], label: &str) {
         );
     }
     fx_tensor::threading::set_num_threads(prev);
-    // The AoT engine in exact mode (conv–BN folding and pointwise
-    // routing off) answers through the same trait object and must not
-    // move a bit either. Graphs it cannot compile (e.g. quantized ones)
-    // fall back to the executor inside the backend, which is equally
-    // bound by this assertion.
-    let engine = EngineBackend::new()
-        .prepare(gm)
+    // Epilogue fusion runs conv/linear+ReLU as one kernel with the ReLU
+    // in the GEMM write-back: the same float ops, so not a bit moves.
+    let mut fused = gm.clone();
+    let n_fused = fuse_epilogues(&mut fused)
+        .unwrap_or_else(|e| panic!("{label}: fuse_epilogues failed: {e}"));
+    let out = ExecutorBackend
+        .prepare(&fused)
         .and_then(|p| p.run(inputs))
-        .unwrap_or_else(|e| panic!("{label}: engine backend failed: {e}"));
+        .unwrap_or_else(|e| panic!("{label}: fused graph failed: {e}"));
     assert_eq!(
         reference,
-        as_bits(&engine),
-        "{label}: exact-mode engine backend diverged"
+        as_bits(&out),
+        "{label}: epilogue-fused graph diverged"
     );
     let rt = round_trip(gm);
     let out = rt
@@ -108,6 +109,7 @@ fn assert_paths_bit_identical(gm: &GraphModule, inputs: &[Value], label: &str) {
         as_bits(&out),
         "{label}: codegen round-trip diverged"
     );
+    n_fused
 }
 
 #[test]
@@ -120,7 +122,8 @@ fn resnet50_parity_and_after_fusion() {
 
     let fused = fuse_conv_bn(&mut gm).unwrap();
     assert!(fused > 0, "resnet50 must have conv-bn pairs to fuse");
-    assert_paths_bit_identical(&gm, std::slice::from_ref(&x), "resnet50+fuse");
+    let relus = assert_paths_bit_identical(&gm, std::slice::from_ref(&x), "resnet50+fuse");
+    assert!(relus > 0, "folded resnet50 must have conv+relu pairs to fuse");
 }
 
 #[test]
@@ -133,7 +136,8 @@ fn learning_to_paint_actor_parity_and_after_fusion() {
 
     let fused = fuse_conv_bn(&mut gm).unwrap();
     assert!(fused > 0, "the actor's backbone must fuse");
-    assert_paths_bit_identical(&gm, std::slice::from_ref(&x), "paint-actor+fuse");
+    let relus = assert_paths_bit_identical(&gm, std::slice::from_ref(&x), "paint-actor+fuse");
+    assert!(relus > 0, "the folded actor must have conv+relu pairs to fuse");
 }
 
 #[test]

@@ -4,10 +4,12 @@
 //! MLPs, and hand-edited function graphs — and checks, per case:
 //!
 //! * every execution path is **bit-identical**: `gm.run` (sequential)
-//!   vs the parallel [`Executor`] at 1/2/8 threads vs both
-//!   [`ExecutionBackend`]s through the trait object (the prepared
-//!   executor and the exact-mode AoT engine) vs the codegen round-trip
-//!   (print → parse → rebuild → run);
+//!   vs the parallel [`Executor`] at 1/2/8 threads vs the prepared
+//!   [`ExecutorBackend`] vs the graph after
+//!   [`fuse_epilogues`] vs the codegen round-trip (print → parse →
+//!   rebuild → run);
+//! * the fully [`lower`]ed graph (conv–BN folding, which rounds
+//!   differently, plus epilogue fusion) agrees to [`LOWER_TOL`];
 //! * mutating passes are **idempotent**: running fuse / CSE / constant
 //!   folding a second time changes nothing (0 rewrites, same bits);
 //! * the graph **validates** ([`GraphModule::validate`]) after tracing
@@ -20,6 +22,7 @@
 //! cases. Set `FX_FUZZ_CASES` to shrink or grow the sweep (the tier-1
 //! smoke run uses a small slice; the default is 64).
 
+use fx::backend::{fuse_epilogues, lower};
 use fx::passes::{
     eliminate_common_subexpressions, fold_constants, fuse_conv_bn, infer_shapes,
 };
@@ -33,6 +36,10 @@ use fx_tensor::rng::{Rng, SeedableRng, StdRng};
 use std::sync::Arc;
 
 const FUZZ_SEED_BASE: u64 = 0x5EED_0000;
+
+/// Absolute tolerance of a lowered graph against its source, the same
+/// bound the `lower` tests hold ResNet to.
+const LOWER_TOL: f32 = 1e-2;
 
 fn case_count() -> u64 {
     std::env::var("FX_FUZZ_CASES")
@@ -91,25 +98,31 @@ fn check_all_paths(gm: &GraphModule, inputs: &[Value], label: &str) -> Vec<u32> 
             );
         }
     }
-    // Both execution backends through the trait object. The engine
-    // backend falls back to a prepared executor on graphs it cannot
-    // compile, so the sweep is total over whatever the fuzzer built.
-    let backends: [Box<dyn ExecutionBackend>; 2] = [
-        Box::new(ExecutorBackend),
-        Box::new(fx::backend::EngineBackend::new()),
-    ];
-    for backend in backends {
-        let out = backend
-            .prepare(gm)
-            .and_then(|p| p.run(inputs))
-            .unwrap_or_else(|e| panic!("{label}: backend {}: {e}", backend.name()));
-        assert_eq!(
-            reference,
-            as_bits(&out),
-            "{label}: backend {} diverged",
-            backend.name()
-        );
-    }
+    let out = ExecutorBackend
+        .prepare(gm)
+        .and_then(|p| p.run(inputs))
+        .unwrap_or_else(|e| panic!("{label}: prepared backend: {e}"));
+    assert_eq!(reference, as_bits(&out), "{label}: prepared backend diverged");
+    // Epilogue fusion is exact on whatever the fuzzer built; the full
+    // lowering adds conv–BN folding and is held to a tolerance.
+    let mut fused = gm.clone();
+    fuse_epilogues(&mut fused).unwrap_or_else(|e| panic!("{label}: fuse_epilogues: {e}"));
+    let out = fused
+        .run(inputs)
+        .unwrap_or_else(|e| panic!("{label}: fused run: {e}"));
+    assert_eq!(reference, as_bits(&out), "{label}: epilogue-fused graph diverged");
+    let (lowered, _) = lower(gm).unwrap_or_else(|e| panic!("{label}: lower: {e}"));
+    let out = lowered
+        .run(inputs)
+        .unwrap_or_else(|e| panic!("{label}: lowered run: {e}"));
+    let want = Tensor::from_vec(
+        reference.iter().map(|&b| f32::from_bits(b)).collect(),
+        out.as_tensor().expect("lowered output is a tensor").shape(),
+    );
+    assert!(
+        out.as_tensor().unwrap().allclose(&want, LOWER_TOL),
+        "{label}: lowered graph drifted past {LOWER_TOL}"
+    );
     let rt = round_trip(gm, label);
     let out = rt
         .run(inputs)
@@ -321,7 +334,7 @@ fn differential_fuzz_sweep() {
 ///
 /// Invariants (the PR-7 f32 guarantees, extended to int8):
 /// * the converted graph's output is **bit-identical** across
-///   {memplan off, on} × {1, 2, 8 threads} × both execution backends —
+///   {memplan off, on} × {1, 2, 8 threads} × the prepared backend —
 ///   the int8 kernels accumulate exactly in i32 and share one
 ///   requantization epilogue, so nothing in the schedule may move a
 ///   byte;
@@ -373,7 +386,7 @@ fn quantized_differential_fuzz_sweep() {
         let x = rand_value(&input_shape, seed ^ 0xABCD);
         let inputs = std::slice::from_ref(&x);
 
-        // Bit-identity across memplan × threads × backends (the same
+        // Bit-identity across memplan × threads × paths (the same
         // battery the f32 sweep runs, on the converted graph).
         let reference = check_all_paths(&qgm, inputs, &format!("{label}: converted"));
 

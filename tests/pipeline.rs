@@ -8,7 +8,7 @@ use fx::passes::{
 };
 use fx::prelude::*;
 use fx::quant::{quantize_ptq, QConfig};
-use fx_models::{resnet_tiny, DeepRecommender, Mlp, TransformerEncoderLayer};
+use fx_models::{resnet50, resnet_tiny, DeepRecommender, Mlp, TransformerEncoderLayer};
 use fx_tensor::rng::StdRng;
 use fx_tensor::rng::SeedableRng;
 
@@ -25,7 +25,8 @@ fn fuse_then_lower_then_run() {
     let fused = fuse_conv_bn(&mut gm).unwrap();
     assert!(fused > 0);
     let (lowered, report) = lower(&gm).unwrap();
-    assert_eq!(report.fallback_partitions, 0);
+    assert_eq!(report.conv_bn_folded, 0, "already folded");
+    assert!(report.epilogues_fused > 0);
     let x = randn(&[1, 3, 32, 32], 1);
     let y0 = gm.run(std::slice::from_ref(&x)).unwrap();
     let y1 = lowered.run(std::slice::from_ref(&x)).unwrap();
@@ -35,17 +36,40 @@ fn fuse_then_lower_then_run() {
         .allclose(y1.as_tensor().unwrap(), 1e-2));
 }
 
+/// Shape inference and the estimator see through lowering: a lowered
+/// ResNet-50 has the folded graph's output shape and total FLOPs (a
+/// fused `conv2d_relu` is charged its ReLU). The reference is the
+/// conv–BN-folded graph, since folding BN removes BN's FLOPs.
+#[test]
+fn lowered_resnet50_keeps_output_shape_and_total_flops() {
+    let mut rng = StdRng::seed_from_u64(50);
+    let mut folded = symbolic_trace(&resnet50(3, 10, &mut rng)).unwrap();
+    fuse_conv_bn(&mut folded).unwrap();
+    let (mut lowered, report) = lower(&folded).unwrap();
+    assert!(report.epilogues_fused > 0);
+    let input = [vec![2usize, 3, 32, 32]];
+    let want = infer_shapes(&mut folded, &input).unwrap();
+    let got = infer_shapes(&mut lowered, &input).unwrap();
+    assert_eq!(got["output"], vec![2, 10]);
+    assert_eq!(got["output"], want["output"]);
+    let device = DeviceSpec::host_cpu_single_core();
+    let want = estimate(&folded, &device).unwrap();
+    let got = estimate(&lowered, &device).unwrap();
+    assert_eq!(got.total_flops, want.total_flops);
+    assert!(got.nodes.len() < want.nodes.len(), "fusion removes the ReLU nodes");
+}
+
 #[test]
 fn quantize_then_split_runs_with_fallback() {
-    // Quantized ops are not engine-supported; lowering a quantized model
-    // must fall back gracefully and stay correct.
+    // Quantized ops have no f32 epilogue to fuse; lowering a quantized
+    // model must leave them alone and stay correct.
     let mut rng = StdRng::seed_from_u64(2);
     let model = Mlp::new(&[16, 32, 8], &mut rng);
     let gm = symbolic_trace(&model).unwrap();
     let cal = vec![vec![randn(&[4, 16], 3)], vec![randn(&[4, 16], 4)]];
     let qgm = quantize_ptq(&gm, &cal, &QConfig::default()).unwrap();
     let (lowered, report) = lower(&qgm).unwrap();
-    assert!(report.fallback_partitions > 0);
+    assert_eq!(report.epilogues_fused, 0);
     let x = randn(&[2, 16], 5);
     let y0 = qgm.run(std::slice::from_ref(&x)).unwrap();
     let y1 = lowered.run(std::slice::from_ref(&x)).unwrap();

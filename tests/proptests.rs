@@ -8,7 +8,7 @@
 //! and no shrinking, but the generators are kept small enough that a
 //! failing case is directly debuggable.
 
-use fx::backend::compile;
+use fx::backend::lower;
 use fx::passes::{
     eliminate_common_subexpressions, infer_shapes, peak_activation_bytes, shape_prop,
 };
@@ -29,10 +29,10 @@ fn random_widths(rng: &mut StdRng, n: std::ops::Range<usize>, w: std::ops::Range
     (0..len).map(|_| rng.gen_range(w.clone())).collect()
 }
 
-/// Eager forward == traced-graph execution == compiled engine, for
+/// Eager forward == traced-graph execution == lowered graph, for
 /// random MLP architectures and batch sizes.
 #[test]
-fn eager_interpreter_engine_agree() {
+fn eager_executor_and_lowered_agree() {
     for case in 0..CASES {
         let mut rng = StdRng::seed_from_u64(0xA0 + case);
         let widths = random_widths(&mut rng, 2..5, 1..24);
@@ -54,11 +54,13 @@ fn eager_interpreter_engine_agree() {
             "case {case}: eager vs traced"
         );
 
-        let engine = compile(&gm).unwrap();
-        let out = engine.run(&[x.as_tensor().unwrap().clone()]).unwrap();
+        let (lowered, _) = lower(&gm).unwrap();
+        let out = lowered.run(std::slice::from_ref(&x)).unwrap();
         assert!(
-            out.allclose(eager.as_tensor().unwrap(), 1e-4),
-            "case {case}: eager vs engine"
+            out.as_tensor()
+                .unwrap()
+                .allclose(eager.as_tensor().unwrap(), 1e-4),
+            "case {case}: eager vs lowered"
         );
     }
 }

@@ -1,19 +1,20 @@
 //! Serving parity suite: responses from the `fx_serve` dynamic batcher
 //! must be **bit-identical** to solo `Executor` runs of the same
 //! request, for every evaluation model, under concurrent clients —
-//! **whichever execution backend** the server was built with: the
-//! default, an explicit [`ExecutorBackend`], the exact-mode AoT
-//! [`EngineBackend`], or whatever [`autotune`] picked.
+//! through the default backend, an explicit [`ExecutorBackend`] with a
+//! non-default configuration, and for a graph lowered by
+//! [`fuse_epilogues`].
 //!
 //! Bit-identity (not `allclose`) holds because dim-0 stacking of
 //! contiguous row-major tensors is pure buffer concatenation and every
 //! kernel computes each output row of a batch from its own input rows
 //! alone, with a batch-independent reduction order (see DESIGN.md §7).
 //! Coalescing therefore cannot perturb a single bit of any response,
-//! and the engine's exact mode keeps every fused kernel on the same
-//! accumulation order as the eager ops.
+//! and a fused conv/linear+ReLU op computes the same floats as the
+//! pair it replaces.
 
-use fx::backend::{autotune, backend_by_name, EngineBackend};
+use fx::backend::fuse_epilogues;
+use fx::passes::fuse_conv_bn;
 use fx::prelude::*;
 use fx::serve::Server;
 use fx_models::{resnet50, DeepRecommender, LearningToPaintActor};
@@ -47,51 +48,37 @@ fn solo(gm: &GraphModule, x: &Tensor) -> Tensor {
         .clone()
 }
 
-/// Which execution backend the server under test is built with.
+/// How the server under test is built.
 enum Served {
     /// Builder untouched: the default `ExecutorBackend` path.
     Default,
-    /// An explicit backend trait object via `with_backend`.
-    Backend(Arc<dyn ExecutionBackend>),
-    /// `autotune` the graph, then serve its cached `ExecChoice`.
-    Autotuned,
+    /// An explicit backend trait object and configuration via
+    /// `with_backend` / `exec_config`.
+    Backend(Arc<dyn ExecutionBackend>, ExecConfig),
 }
 
 /// N clients hammer the server concurrently; every response must match
 /// the solo run of the same input bit-for-bit.
 fn assert_served_parity(gm: &GraphModule, input_shape: &[usize], label: &str) {
-    assert_served_parity_with(gm, input_shape, label, Served::Default);
+    assert_served_parity_with(gm, gm, input_shape, label, Served::Default);
 }
 
-fn assert_served_parity_with(gm: &GraphModule, input_shape: &[usize], label: &str, how: Served) {
-    let mut builder = Server::builder(gm.clone(), &[input_shape.to_vec()])
+/// Serve `gm` and compare every response with a solo run of
+/// `reference` (the same graph, or the graph `gm` was fused from).
+fn assert_served_parity_with(
+    gm: &GraphModule,
+    reference: &GraphModule,
+    input_shape: &[usize],
+    label: &str,
+    how: Served,
+) {
+    let builder = Server::builder(gm.clone(), &[input_shape.to_vec()])
         .max_batch_size(2 * input_shape[0].max(1))
         .max_batch_delay(Duration::from_millis(10));
-    // The default path compiles the plan exactly once at prepare time;
-    // engine-backed and autotuned servers have no such invariant.
-    let mut expect_plan_compiles = Some(1);
-    match how {
-        Served::Default => {}
-        Served::Backend(backend) => {
-            expect_plan_compiles = None;
-            builder = builder.with_backend(backend);
-        }
-        Served::Autotuned => {
-            expect_plan_compiles = None;
-            let sample = vec![Value::Tensor(randn(input_shape, 999))];
-            let choice = autotune(gm, &sample).unwrap_or_else(|e| panic!("{label}: autotune: {e}"));
-            assert_eq!(
-                gm.exec_choice().as_ref(),
-                Some(&choice),
-                "{label}: autotune caches its choice on the module"
-            );
-            let backend = backend_by_name(&choice.backend)
-                .unwrap_or_else(|| panic!("{label}: unknown backend in {choice}"));
-            builder = builder
-                .with_backend(Arc::from(backend))
-                .exec_config(choice.config);
-        }
-    }
+    let builder = match how {
+        Served::Default => builder,
+        Served::Backend(backend, cfg) => builder.with_backend(backend).exec_config(cfg),
+    };
     let server = builder
         .build()
         .unwrap_or_else(|e| panic!("{label}: server build failed: {e}"));
@@ -119,7 +106,7 @@ fn assert_served_parity_with(gm: &GraphModule, input_shape: &[usize], label: &st
     });
 
     for (seed, served) in &responses {
-        let want = bits(&solo(gm, &randn(input_shape, *seed)));
+        let want = bits(&solo(reference, &randn(input_shape, *seed)));
         assert_eq!(
             served, &want,
             "{label}: served response for seed {seed} diverged from the solo executor run"
@@ -129,9 +116,7 @@ fn assert_served_parity_with(gm: &GraphModule, input_shape: &[usize], label: &st
     let stats = server.shutdown();
     assert_eq!(stats.requests_ok, (CLIENTS * PER_CLIENT) as u64, "{label}: {stats}");
     assert_eq!(stats.requests_err, 0, "{label}: {stats}");
-    if let Some(want) = expect_plan_compiles {
-        assert_eq!(stats.plan_compiles, want, "{label}: plan compiled once, then shared");
-    }
+    assert_eq!(stats.plan_compiles, 1, "{label}: plan compiled once, then shared");
 }
 
 #[test]
@@ -156,9 +141,30 @@ fn learning_to_paint_served_responses_are_bit_identical() {
     assert_served_parity(&gm, &[1, 9, 32, 32], "learning_to_paint");
 }
 
-/// The same three models, served through every backend the trait can
-/// name — an explicit executor, the exact-mode AoT engine, and the
-/// autotuned choice — all bit-identical to the solo executor run.
+/// A lowered ResNet-50 — conv–BN folded, then conv+ReLU pairs fused —
+/// served through the default backend answers bit-identically to a
+/// solo run of the folded graph before epilogue fusion.
+#[test]
+fn fused_resnet50_served_responses_are_bit_identical() {
+    let mut rng = StdRng::seed_from_u64(50);
+    let mut folded = symbolic_trace(&resnet50(3, 10, &mut rng)).expect("resnet50 traces");
+    fuse_conv_bn(&mut folded).expect("conv-bn folds");
+    let mut fused = folded.clone();
+    let n = fuse_epilogues(&mut fused).expect("epilogues fuse");
+    assert!(n > 0, "folded resnet50 has conv+relu pairs");
+    assert_served_parity_with(
+        &fused,
+        &folded,
+        &[1, 3, 32, 32],
+        "resnet50/fused",
+        Served::Default,
+    );
+}
+
+/// The same three models, served through an explicit `ExecutorBackend`
+/// under the default and a non-default configuration (two inter-op
+/// threads, memory planning off) — all bit-identical to the solo
+/// executor run.
 #[test]
 fn all_backends_serve_bit_identically() {
     let mut rng = StdRng::seed_from_u64(50);
@@ -168,24 +174,29 @@ fn all_backends_serve_bit_identically() {
     let mut rng = StdRng::seed_from_u64(51);
     let actor = symbolic_trace(&LearningToPaintActor::new(&mut rng)).expect("paint actor");
 
+    let configs = [
+        ("default", ExecConfig::from_env()),
+        (
+            "t2-noplan",
+            ExecConfig::from_env()
+                .with_threads(2)
+                .with_memory_planning(false),
+        ),
+    ];
     for (gm, shape, label) in [
         (&resnet, vec![1usize, 3, 32, 32], "resnet50"),
         (&recommender, vec![2, 64], "deep_recommender"),
         (&actor, vec![1, 9, 32, 32], "learning_to_paint"),
     ] {
-        assert_served_parity_with(
-            gm,
-            &shape,
-            &format!("{label}/executor-backend"),
-            Served::Backend(Arc::new(ExecutorBackend)),
-        );
-        assert_served_parity_with(
-            gm,
-            &shape,
-            &format!("{label}/engine-backend"),
-            Served::Backend(Arc::new(EngineBackend::new())),
-        );
-        assert_served_parity_with(gm, &shape, &format!("{label}/autotuned"), Served::Autotuned);
+        for (name, cfg) in configs {
+            assert_served_parity_with(
+                gm,
+                gm,
+                &shape,
+                &format!("{label}/executor-backend/{name}"),
+                Served::Backend(Arc::new(ExecutorBackend), cfg),
+            );
+        }
     }
 }
 
