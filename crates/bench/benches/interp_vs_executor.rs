@@ -51,6 +51,9 @@ struct KernelRow {
     gflops: f64,
     fraction_of_peak: f64,
     int8: bool,
+    /// Weight bytes streamed per call / time, for the narrow rows whose
+    /// speed is set by reading the weight.
+    weight_gbps: Option<f64>,
 }
 
 /// Raw kernel throughput vs. the host roofline: GEMM and convolution
@@ -60,6 +63,10 @@ struct KernelRow {
 /// kernel library selected at startup. Int8 rows count multiply-adds
 /// the same way (2·m·k·n "flops") but report `fraction_of_peak`
 /// against the **int8 roofline** `peak_flops × int8_speedup`.
+///
+/// The narrow rows (`N ≤ 4`: batch-1 late-stage convs, small-batch
+/// `linear`) are bandwidth-bound, so they also report the weight bytes
+/// they stream per second.
 fn kernel_rows(device: &DeviceSpec) -> Vec<KernelRow> {
     let mut rng = StdRng::seed_from_u64(90);
     let mut rows = Vec::new();
@@ -67,7 +74,11 @@ fn kernel_rows(device: &DeviceSpec) -> Vec<KernelRow> {
     // active, so scratch (im2col panels, i32 accumulators) is reused
     // across calls instead of hitting the allocator every iteration.
     let _pool = pool::activate();
-    let mut push = |name: String, flops: u64, int8: bool, mut f: Box<dyn FnMut()>| {
+    let mut push = |name: String,
+                    flops: u64,
+                    int8: bool,
+                    weight_bytes: Option<u64>,
+                    mut f: Box<dyn FnMut()>| {
         let stats = fx_bench::time_trials(8, 2, || f());
         let gflops = flops as f64 / stats.mean / 1e9;
         let peak = if int8 {
@@ -82,6 +93,7 @@ fn kernel_rows(device: &DeviceSpec) -> Vec<KernelRow> {
             gflops,
             fraction_of_peak: gflops * 1e9 / peak,
             int8,
+            weight_gbps: weight_bytes.map(|b| b as f64 / stats.mean / 1e9),
         });
     };
 
@@ -93,6 +105,7 @@ fn kernel_rows(device: &DeviceSpec) -> Vec<KernelRow> {
             format!("gemm_nn {m}x{k}x{n}"),
             (2 * m * k * n) as u64,
             false,
+            None,
             Box::new(move || {
                 pool::recycle_tensor(ops::matmul(&a, &b).expect("gemm bench"));
             }),
@@ -105,6 +118,7 @@ fn kernel_rows(device: &DeviceSpec) -> Vec<KernelRow> {
         "linear+relu 64x512x512".to_string(),
         (2 * 64 * 512 * 512) as u64,
         false,
+        None,
         Box::new(move || {
             pool::recycle_tensor(ops::linear_act(&x, &w, Some(&bias), true).expect("linear bench"));
         }),
@@ -126,6 +140,7 @@ fn kernel_rows(device: &DeviceSpec) -> Vec<KernelRow> {
             format!("gemm_i8 {m}x{k}x{n} (quantized_linear)"),
             (2 * m * k * n) as u64,
             true,
+            None,
             Box::new(move || {
                 let out = quant::quantized_linear(&xq, &wq, None, 0.02, 0, false)
                     .expect("i8 gemm bench");
@@ -142,6 +157,7 @@ fn kernel_rows(device: &DeviceSpec) -> Vec<KernelRow> {
         "conv3x3 64->64 @56x56".to_string(),
         conv3_flops,
         false,
+        None,
         Box::new(move || {
             pool::recycle_tensor(
                 ops::conv2d(&x3, &w3, None, (1, 1), (1, 1), (1, 1), 1).expect("conv bench"),
@@ -155,12 +171,48 @@ fn kernel_rows(device: &DeviceSpec) -> Vec<KernelRow> {
         "conv1x1 256->128 @28x28".to_string(),
         conv1_flops,
         false,
+        None,
         Box::new(move || {
             pool::recycle_tensor(
                 ops::conv2d(&x1, &w1, None, (1, 1), (0, 0), (1, 1), 1).expect("conv1x1 bench"),
             );
         }),
     );
+
+    // Narrow GEMMs (N ≤ 4 output columns): 3×3 convs at the 1×1 and 2×2
+    // extents of ResNet-50's layer4/layer3 at batch 1 (every tap of
+    // the padded window is a multiply-add of the implicit GEMM), and a
+    // Linear at 1 and 4 rows.
+    for &(c, hw) in &[(512usize, 1usize), (256, 2)] {
+        let x = Tensor::rand_uniform(&[1, c, hw, hw], -1.0, 1.0, &mut rng);
+        let w = Tensor::rand_uniform(&[c, c, 3, 3], -0.5, 0.5, &mut rng);
+        push(
+            format!("conv3x3 {c}->{c} @{hw}x{hw} (N={})", hw * hw),
+            2 * (c * c * 9 * hw * hw) as u64,
+            false,
+            Some((w.numel() * 4) as u64),
+            Box::new(move || {
+                pool::recycle_tensor(
+                    ops::conv2d(&x, &w, None, (1, 1), (1, 1), (1, 1), 1)
+                        .expect("narrow conv bench"),
+                );
+            }),
+        );
+    }
+    let w = Tensor::rand_uniform(&[512, 2048], -0.5, 0.5, &mut rng);
+    for m in [1usize, 4] {
+        let x = Tensor::rand_uniform(&[m, 2048], -1.0, 1.0, &mut rng);
+        let w = w.clone();
+        push(
+            format!("linear 2048->512 m={m}"),
+            2 * (m * 2048 * 512) as u64,
+            false,
+            Some((w.numel() * 4) as u64),
+            Box::new(move || {
+                pool::recycle_tensor(ops::linear(&x, &w, None).expect("narrow linear bench"));
+            }),
+        );
+    }
 
     // The int8 microkernel only pays off when it actually runs: with
     // AVX2 selected, demand the i8 GEMM clear 1.5× the matching f32
@@ -327,14 +379,18 @@ fn write_json(
         device.peak_flops * device.int8_speedup / 1e9
     ));
     for (i, r) in kernel_rows.iter().enumerate() {
+        let weight_gbps = r
+            .weight_gbps
+            .map_or(String::new(), |g| format!(", \"weight_gbps\": {g:.2}"));
         out.push_str(&format!(
-            "      {{ \"name\": \"{}\", \"flops\": {}, \"int8\": {}, \"mean_s\": {:.6}, \"gflops\": {:.2}, \"fraction_of_peak\": {:.3} }}{}\n",
+            "      {{ \"name\": \"{}\", \"flops\": {}, \"int8\": {}, \"mean_s\": {:.6}, \"gflops\": {:.2}, \"fraction_of_peak\": {:.3}{} }}{}\n",
             r.name,
             r.flops,
             r.int8,
             r.mean_s,
             r.gflops,
             r.fraction_of_peak,
+            weight_gbps,
             if i + 1 < kernel_rows.len() { "," } else { "" }
         ));
     }

@@ -294,7 +294,31 @@ pub fn linear_act(x: &Tensor, w: &Tensor, b: Option<&Tensor>, relu: bool) -> Res
     };
     let m = x.numel() / in_f;
     let mut out = pool::alloc_f32(m * out_f);
-    if simd::simd_enabled() {
+    if simd::simd_enabled() && m <= simd::NR {
+        // Small batch: the weight is the big operand, so compute
+        // `Cᵀ = W·xᵀ` with W as the row-major A, read in place and split
+        // over row panels, instead of re-packing all of it as B. Bias
+        // becomes the row bias. `fma(a, b, c)` is symmetric in `a, b`
+        // and the per-element chain is the same, so the bits are too.
+        let mut out_t = pool::alloc_f32(out_f * m);
+        simd::gemm(
+            out_f,
+            in_f,
+            m,
+            wd,
+            BSrc::Transposed(xd),
+            &mut out_t,
+            bias_slice,
+            None,
+            relu,
+        );
+        for (i, row) in out.chunks_mut(out_f).enumerate() {
+            for (o, v) in row.iter_mut().enumerate() {
+                *v = out_t[o * m + i];
+            }
+        }
+        pool::recycle_f32(out_t);
+    } else if simd::simd_enabled() {
         // Bias and ReLU fused into the microkernel write-back.
         simd::gemm(
             m,
@@ -501,5 +525,43 @@ mod tests {
             .map(|v| v.max(0.0))
             .collect();
         assert_eq!(fused.as_f32().unwrap(), &relu[..]);
+    }
+
+    /// A row's output must not depend on how many rows share the call:
+    /// for every m in 1..=17 (both sides of the small-batch `Cᵀ = W·xᵀ`
+    /// swap at m ≤ 16, and the narrow kernel at m ≤ 4) `linear_act` on
+    /// the first m rows equals those rows of a 32-row call bitwise, with
+    /// and without bias and ReLU. in_f = 300 leaves a k tail past the
+    /// last multiple of 8; in_f = 520 spans three KC blocks; out_f = 45
+    /// is two 16-row weight groups plus a 13-row tail.
+    #[test]
+    fn linear_rows_do_not_depend_on_batch_size() {
+        let mut rng = StdRng::seed_from_u64(0x11AE);
+        let out_f = 45;
+        for in_f in [300usize, 520] {
+            let x = Tensor::rand_uniform(&[32, in_f], -1.0, 1.0, &mut rng);
+            let w = Tensor::rand_uniform(&[out_f, in_f], -1.0, 1.0, &mut rng);
+            let b = Tensor::rand_uniform(&[out_f], -1.0, 1.0, &mut rng);
+            for bias in [None, Some(&b)] {
+                for relu in [false, true] {
+                    let full = linear_act(&x, &w, bias, relu).unwrap();
+                    for m in 1..=17 {
+                        let xm =
+                            Tensor::from_vec(x.as_f32().unwrap()[..m * in_f].to_vec(), &[m, in_f]);
+                        let got = linear_act(&xm, &w, bias, relu).unwrap();
+                        let want = &full.as_f32().unwrap()[..m * out_f];
+                        assert!(
+                            got.as_f32()
+                                .unwrap()
+                                .iter()
+                                .zip(want)
+                                .all(|(g, w)| g.to_bits() == w.to_bits()),
+                            "in_f={in_f} m={m} bias={} relu={relu}: rows changed bits",
+                            bias.is_some()
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -9,7 +9,9 @@
 #    64-case sweep runs as part of step 2, this re-runs a slice with
 #    validation forced on even in release builds (FX_VALIDATE=1), once
 #    per GEMM engine (FX_SIMD=1 AVX2 microkernels, FX_SIMD=0 portable
-#    scalar), as is the fx-tensor kernel suite.
+#    scalar), as is the fx-tensor kernel suite — in release and again in
+#    a debug build, so the debug_assert!s guarding the microkernels'
+#    unsafe A windows, packed-B spans and C tiles actually run.
 # 3a. GEMM blocking sweep      — the fx-tensor suite and the executor,
 #    serve and quant parity suites under a tiny FX_GEMM_KC=64
 #    FX_GEMM_NC=32, so the suites' small shapes take the multi-span,
@@ -62,6 +64,10 @@ echo "== kernel engines: fx-tensor suite under AVX2 (+/- VNNI) and scalar =="
 FX_SIMD=1 cargo test -q --release -p fx-tensor
 FX_SIMD=1 FX_VNNI=0 cargo test -q --release -p fx-tensor
 FX_SIMD=0 cargo test -q --release -p fx-tensor
+
+echo "== kernel safety checks: fx-tensor suite in a debug build (both SIMD modes) =="
+FX_SIMD=1 cargo test -q -p fx-tensor
+FX_SIMD=0 cargo test -q -p fx-tensor
 
 echo "== GEMM blocking sweep: FX_GEMM_KC=64 FX_GEMM_NC=32 =="
 FX_GEMM_KC=64 FX_GEMM_NC=32 cargo test -q --release -p fx-tensor
